@@ -21,6 +21,11 @@ single-loop run. Two design rules make that provable:
   commutative, and the coordinator always reduces deltas in canonical
   (time, job, partition-independent) order.
 
+The substrate runs the synthetic fleet model
+(:class:`~repro.tasks.sliced.ShardSlicedTasks`), not the full platform:
+a :class:`~repro.platform.Turbine` always steps its tasks on each
+container's own Task Manager timer.
+
 See ``DESIGN.md`` ("Parallel substrate") for the full argument.
 """
 
@@ -39,11 +44,6 @@ from repro.sim.parallel.partition import (
     partition_for_shard,
     partition_for_task,
 )
-from repro.sim.parallel.plane import (
-    DataPlaneSlice,
-    PlatformDataPlane,
-    TaskStepProfile,
-)
 from repro.sim.parallel.runner import (
     ParallelResult,
     ParallelSimulation,
@@ -52,7 +52,6 @@ from repro.sim.parallel.runner import (
 
 __all__ = [
     "ControlPlane",
-    "DataPlaneSlice",
     "FleetJob",
     "FleetSpec",
     "MergedRound",
@@ -60,10 +59,8 @@ __all__ = [
     "ParallelSimulation",
     "PartitionPlan",
     "PartitionRunner",
-    "PlatformDataPlane",
     "RoundDelta",
     "ScaleAction",
-    "TaskStepProfile",
     "measure_shard_costs",
     "merge_deltas",
     "partition_for_shard",

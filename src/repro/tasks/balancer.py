@@ -24,7 +24,7 @@ reports, occasionally a lost container), so the decision is highly
 cacheable. :class:`PlacementCache` wraps the algorithm with three tiers:
 
 * **hit** — every input identical to the previous round and the previous
-  result was band-stable: return the prior assignment with zero moves,
+  result a fixed point of the algorithm: return it with zero moves,
   skipping the algorithm entirely (this is what makes a quiescent tier's
   round ≥5× cheaper; see ``benchmarks/test_placement_speed.py``);
 * **repair** — a bounded delta (loads changed, shards added/removed, a
@@ -132,10 +132,6 @@ class _PlacementInternals:
     reference: ResourceVector
     scalar_loads: Dict[ShardId, float]
     sorted_shards: List[ShardId]
-    #: False when the band rebalance ran out of rounds before converging:
-    #: re-running the algorithm on identical inputs could still move
-    #: shards, so the result must not be served from the cache as-is.
-    stable: bool
 
 
 def _compute_core(
@@ -172,12 +168,7 @@ def _compute_core(
     if reference is None:
         reference = _reference_capacity(container_capacities)
 
-    def eligible(shard_id: ShardId, container_id: ContainerId) -> bool:
-        required = shard_regions.get(shard_id)
-        if required is None:
-            return True
-        return container_regions.get(container_id) == required
-
+    eligible = _region_filter(container_regions, shard_regions)
     if scalar_loads is None:
         scalar_loads = {
             shard_id: _scalar_load(load, reference)
@@ -250,15 +241,30 @@ def _compute_core(
         heapq.heappush(heap, (new_load, container_id))
 
     # Phase 3 — drain containers above the band into containers below it.
-    stable = _rebalance_within_band(
+    _rebalance_within_band(
         container_load, shards_on, scalar_loads, placed, moves, band,
         eligible=eligible,
     )
 
     return (
         AssignmentChange(assignment=placed, moves=moves),
-        _PlacementInternals(reference, scalar_loads, sorted_shards, stable),
+        _PlacementInternals(reference, scalar_loads, sorted_shards),
     )
+
+
+def _region_filter(
+    container_regions: Mapping[ContainerId, str],
+    shard_regions: Mapping[ShardId, str],
+):
+    """``eligible(shard, container)`` under the regional constraints."""
+
+    def eligible(shard_id: ShardId, container_id: ContainerId) -> bool:
+        required = shard_regions.get(shard_id)
+        if required is None:
+            return True
+        return container_regions.get(container_id) == required
+
+    return eligible
 
 
 def _reference_capacity(
@@ -279,40 +285,38 @@ def _rebalance_within_band(
     moves: List[Tuple[ShardId, Optional[ContainerId], ContainerId]],
     band: float,
     eligible=None,
-) -> bool:
+    max_rounds: Optional[int] = None,
+) -> None:
     """Move shards off overloaded containers until all are inside the band.
 
     Each round moves the best-fitting shard from the most loaded container
     to the least loaded one. The loop stops when the spread is inside the
-    band or when no move improves it (a single shard can be too big to fit
-    any band — the algorithm then leaves it where it is).
-
-    Returns True when the result is *stable* — re-running on the final
-    state would make no further move — and False when the round budget
-    ran out first. The decision cache may only serve a pure hit for a
-    stable result.
+    band, when no move improves it (a single shard can be too big to fit
+    any band — the algorithm then leaves it where it is), or after
+    ``max_rounds`` moves.
     """
     num_containers = len(container_load)
     if num_containers < 2:
-        return True
+        return
     total = sum(container_load.values())
     average = total / num_containers
     if average <= 0:
-        return True
+        return
     upper = average * (1.0 + band)
     lower = average * (1.0 - band)
 
     # Bounded number of rounds keeps worst-case latency predictable.
-    max_rounds = max(64, 4 * len(scalar_loads) // max(1, num_containers))
+    if max_rounds is None:
+        max_rounds = max(64, 4 * len(scalar_loads) // max(1, num_containers))
     for __ in range(max_rounds):
         hottest = max(container_load, key=lambda c: (container_load[c], c))
         coldest = min(container_load, key=lambda c: (container_load[c], c))
         if container_load[hottest] <= upper and container_load[coldest] >= lower:
-            return True  # everyone inside the band
+            return  # everyone inside the band
         excess = container_load[hottest] - average
         candidates = shards_on[hottest]
         if not candidates:
-            return True
+            return
         # The shard closest to (but not exceeding) the excess reduces the
         # overload most without overshooting the cold container.
         best = None
@@ -328,20 +332,54 @@ def _rebalance_within_band(
             if best_key is None or key < best_key:
                 best, best_key = shard_id, key
         if best is None:
-            return True
+            return
         moved_load = scalar_loads[best]
         new_cold = container_load[coldest] + moved_load
         new_hot = container_load[hottest] - moved_load
         # Only move when it strictly reduces the max of the pair.
         if max(new_cold, new_hot) >= container_load[hottest]:
-            return True
+            return
         shards_on[hottest].remove(best)
         shards_on[coldest].append(best)
         container_load[hottest] = new_hot
         container_load[coldest] = new_cold
         placed[best] = coldest
         moves.append((best, hottest, coldest))
-    return False
+
+
+def _is_fixed_point(
+    assignment: Mapping[ShardId, ContainerId],
+    internals: _PlacementInternals,
+    container_ids: List[ContainerId],
+    band: float,
+    eligible,
+) -> bool:
+    """Whether re-running on the same inputs with ``current=assignment``
+    returns ``assignment`` with zero moves.
+
+    That re-run keeps every shard in phase 1, so its container loads are
+    a fresh accumulation in canonical shard order — not the move
+    arithmetic (+x then -x) the round that produced ``assignment`` left
+    behind, which can land on the other side of a band boundary. This
+    rebuilds those loads and asks phase 3 for one move.
+    """
+    scalar_loads = internals.scalar_loads
+    container_load: Dict[ContainerId, float] = {
+        container_id: 0.0 for container_id in container_ids
+    }
+    shards_on: Dict[ContainerId, List[ShardId]] = {
+        container_id: [] for container_id in container_ids
+    }
+    for shard_id in internals.sorted_shards:
+        container_id = assignment[shard_id]
+        container_load[container_id] += scalar_loads[shard_id]
+        shards_on[container_id].append(shard_id)
+    moves: List[Tuple[ShardId, Optional[ContainerId], ContainerId]] = []
+    _rebalance_within_band(
+        container_load, shards_on, scalar_loads, {}, moves, band,
+        eligible=eligible, max_rounds=1,
+    )
+    return not moves
 
 
 @dataclass
@@ -356,23 +394,18 @@ class _CachedPlacement:
     shard_regions: Dict[ShardId, str]
     assignment: Dict[ShardId, ContainerId]
     internals: _PlacementInternals
-    #: True when the cached round produced zero moves. Only then is its
-    #: output a provable fixed point: the round's container loads were
-    #: accumulated purely in phase-1 order, so an identical re-run is
-    #: bit-identical. A round that *moved* shards left loads computed via
-    #: move arithmetic (+x then -x), and a from-scratch recomputation of
-    #: the same assignment can land on the other side of the band
-    #: boundary — serving a hit there would diverge from fresh compute.
-    settled: bool = False
+    #: True when an identical re-run with ``current=assignment`` returns
+    #: ``assignment`` with zero moves — the only result a hit may serve.
+    fixed_point: bool
 
 
 class PlacementCache:
     """A decision cache around :func:`compute_assignment`.
 
     Tiers (see the module docstring): **hit** when every input matches the
-    previous round and its result was band-stable — the prior assignment
-    is returned with zero moves in O(input comparison); **repair** when
-    only shard loads / the shard set / the container set changed but the
+    previous round and its result is a fixed point of the algorithm — the
+    prior assignment is returned with zero moves in O(input comparison);
+    **repair** when only shard loads / the shard set / the container set changed but the
     reference capacity is unchanged — the algorithm re-runs with memoized
     scalar loads and sort order; **miss** otherwise — full recompute.
 
@@ -438,8 +471,7 @@ class PlacementCache:
         if (
             loads_same
             and capacities_same
-            and cached.internals.stable
-            and cached.settled
+            and cached.fixed_point
             and dict(current) == cached.assignment
         ):
             self.hits += 1
@@ -515,6 +547,12 @@ class PlacementCache:
         self, change, internals, shard_loads, container_capacities, band,
         headroom, container_regions, shard_regions,
     ) -> None:
+        # A round without moves ran phase 3 on fresh phase-1 loads, so an
+        # identical re-run repeats it exactly; after moves it takes a check.
+        fixed_point = not change.moves or _is_fixed_point(
+            change.assignment, internals, sorted(container_capacities), band,
+            _region_filter(container_regions, shard_regions),
+        )
         # Shallow copies: values (ResourceVector, str) are immutable, and
         # callers rebuild their input dicts each round.
         self._cached = _CachedPlacement(
@@ -526,7 +564,7 @@ class PlacementCache:
             shard_regions=dict(shard_regions),
             assignment=dict(change.assignment),
             internals=internals,
-            settled=not change.moves,
+            fixed_point=fixed_point,
         )
 
 

@@ -29,7 +29,7 @@ from repro.obs.trace import NULL_TRACER, SLOT_SYNC, Tracer
 from repro.resilience import Dependency, LastKnownGood, RetryPolicy
 from repro.scribe.bus import ScribeBus
 from repro.sim.engine import Engine, Timer
-from repro.tasks.runtime import RunningTask, apply_step_plan
+from repro.tasks.runtime import RunningTask
 from repro.tasks.service import TaskService
 from repro.tasks.shard_manager import ShardManager
 from repro.tasks.spec import TaskSpec
@@ -105,12 +105,6 @@ class TaskManager:
         #: corresponding features are enabled.
         self.standby_plane = None
         self.checkpoint_plane = None
-        #: Parallel data plane (:class:`repro.sim.parallel.plane.
-        #: PlatformDataPlane`). When wired, the plane owns the step
-        #: cadence: this manager arms no step timer and instead exposes
-        #: :meth:`data_plane_dt` / :meth:`throttle_for` /
-        #: :meth:`apply_data_plane_step` to the plane's tick barrier.
-        self.data_plane = None
         #: When each task last failed, for the task.recovery_lag SLI
         #: (failure -> first post-recovery progress sample).
         self._failed_at: Dict[TaskId, Seconds] = {}
@@ -197,24 +191,16 @@ class TaskManager:
                 self._heartbeat_interval, self._heartbeat_tick,
                 name=f"{self.container_id}-heartbeat",
             ),
-        ]
-        if self.data_plane is None:
-            # The parallel data plane (when wired) steps every manager
-            # from its own single timer; arming a per-container step
-            # timer too would double-step the tasks.
-            self._timers.append(
-                self._engine.every(
-                    self._step_interval, self._step_tasks,
-                    name=f"{self.container_id}-step",
-                )
-            )
-        self._timers.append(
+            self._engine.every(
+                self._step_interval, self._step_tasks,
+                name=f"{self.container_id}-step",
+            ),
             self._engine.every(
                 self._load_report_interval, self._report_loads,
                 name=f"{self.container_id}-load-report",
                 initial_delay=jitter.uniform(0, self._load_report_interval),
-            )
-        )
+            ),
+        ]
 
     def shutdown(self) -> None:
         """Stop all timers and tasks (container decommission)."""
@@ -305,10 +291,6 @@ class TaskManager:
         # instead of the backlog horizon.
         if self.checkpoint_plane is not None:
             self.checkpoint_plane.on_task_start(spec.job_id)
-        if self.data_plane is not None:
-            # The roll-forward above (and the start itself) may have moved
-            # committed cursors; worker mirrors must resync this job.
-            self.data_plane.mark_job_dirty(spec.job_id)
         task = RunningTask(spec, self._scribe)
         self.tasks[spec.task_id] = task
         self._task_shard[spec.task_id] = shard_id
@@ -512,71 +494,6 @@ class TaskManager:
             ):
                 # First post-recovery progress sample: close the
                 # recovery-lag window for the task.recovery_lag SLI.
-                lag = now - self._failed_at.pop(task_id)
-                if self._metrics is not None:
-                    self._metrics.record(
-                        task.spec.job_id, "recovery_lag", now, lag
-                    )
-            if samples is not None and task.state != TaskState.STANDBY:
-                samples.append((task_id, "cpu_used", task.last_cpu_used))
-                samples.append((task_id, "memory_gb", task.memory_needed_gb()))
-                samples.append((task_id, "rate_mb", task.last_rate_mb))
-        if samples:
-            self._metrics.record_many(now, samples)
-
-    # ------------------------------------------------------------------
-    # Parallel data plane hooks (the plane's tick replaces _step_tasks;
-    # each hook mirrors one stage of the serial loop above, so the two
-    # paths stay byte-identical per task).
-    # ------------------------------------------------------------------
-    def data_plane_dt(self, now: Seconds) -> Seconds:
-        """Advance the step clock exactly like the serial loop's prologue
-        (the clock advances even for a dead container)."""
-        dt = now - self._last_step_time
-        self._last_step_time = now
-        return dt
-
-    def throttle_for(self, desired: float) -> float:
-        """The contention throttle the serial loop would apply for a
-        given total desired-cores demand (includes the gray-node slow
-        factor)."""
-        throttle = 1.0
-        capacity_cpu = self.container.capacity.cpu
-        if capacity_cpu > 0 and desired > capacity_cpu:
-            throttle = capacity_cpu / desired
-        return throttle * self.slow_factor
-
-    def apply_data_plane_step(
-        self, now: Seconds, dt: Seconds, throttle: float, plans: List
-    ) -> None:
-        """Apply pre-computed step plans — the serial loop's per-task
-        body (OOM handling, recovery-lag SLI, metric sampling), with
-        ``task.step`` replaced by applying the plan the plane computed
-        from the same pre-tick state.
-
-        ``plans`` is ``[(task, StepPlan | None)]`` in the same order the
-        serial loop visits tasks (``tasks`` then ``standbys``). A
-        ``None`` plan marks a contended-job slot: its plan is computed
-        here, sequentially, so same-tick readers of shared partitions
-        see each other's commits exactly like the serial loop.
-        """
-        samples = (
-            [] if self._record_task_metrics and self._metrics is not None
-            else None
-        )
-        for task, plan in plans:
-            task_id = task.spec.task_id
-            was_running = task.state == TaskState.RUNNING
-            if plan is None:
-                plan = task.plan_step(dt, throttle)
-            apply_step_plan(task, plan, self._scribe)
-            if was_running and task.state == TaskState.CRASHED:
-                self._handle_oom(task)
-            if (
-                task_id in self._failed_at
-                and task.state == TaskState.RUNNING
-                and task.last_rate_mb > 0
-            ):
                 lag = now - self._failed_at.pop(task_id)
                 if self._metrics is not None:
                     self._metrics.record(

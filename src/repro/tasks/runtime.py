@@ -17,11 +17,14 @@ to:
   the Task Manager reports to the scaler's symptom detector;
 * progress is checkpointed per partition, so restarts resume exactly where
   the previous incarnation stopped.
+
+Each container's Task Manager advances its own tasks on its ``-step``
+timer through :meth:`RunningTask.step`; that is the only step path.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.scribe.bus import ScribeBus
 from repro.scribe.partition import Partition
@@ -52,216 +55,6 @@ DISK_GB_PER_MILLION_KEYS = 1.0
 #: parts of the state on restarts" (paper section V-B) — restore time is
 #: what makes stateful rescaling slower than stateless.
 STATE_RESTORE_RATE_MB = 200.0
-
-
-class StepPlan(NamedTuple):
-    """The pure outcome of one task step — data, not side effects.
-
-    Computed by :func:`plan_task_step` from a read-only view of the
-    task's partitions and applied by :func:`apply_step_plan` (or, on a
-    parallel data plane, computed on a worker's mirror and applied by the
-    coordinator). A plan is a plain tuple of floats/ints so it pickles
-    compactly and carries no references into simulation state.
-    """
-
-    #: False for the not-running / non-positive-dt path (rates zeroed).
-    ran: bool
-    #: True when state restore consumed the whole step.
-    restore_only: bool
-    processed_mb: float
-    #: ``(seq, new_offset)`` per drained partition, where ``seq`` indexes
-    #: the task's partition slice in its canonical (ascending) order.
-    commits: Tuple[Tuple[int, float], ...]
-    new_restore_remaining_mb: float
-    last_rate_mb: float
-    last_cpu_used: float
-    crashed: bool
-
-
-#: A no-op plan for tasks that are not running (or got a dt <= 0 step).
-IDLE_PLAN = StepPlan(False, False, 0.0, (), 0.0, 0.0, 0.0, False)
-
-
-def plan_memory_needed_gb(
-    last_rate_mb: float,
-    memory_overhead_gb: float,
-    stateful: bool,
-    state_key_cardinality: int,
-    task_count: int,
-) -> float:
-    """Memory a task needs at ``last_rate_mb`` — the OOM-check input."""
-    needed = (
-        BASE_MEMORY_GB
-        + memory_overhead_gb
-        + last_rate_mb * BUFFER_SECONDS / 1000.0
-    )
-    if stateful and task_count > 0:
-        keys_here = state_key_cardinality / task_count
-        needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
-    return needed
-
-
-def plan_desired_cores(
-    running: bool,
-    dt: Seconds,
-    restoring: bool,
-    available_sum_mb: float,
-    max_rate_mb: float,
-    rate_per_thread_mb: float,
-) -> float:
-    """Pure form of :meth:`RunningTask.desired_cores`.
-
-    ``available_sum_mb`` must be the left-to-right sum of
-    ``partition.available(offset)`` over the task's partition slice in
-    canonical order — the same accumulation order the method uses — so
-    the float result is bit-identical wherever it is computed.
-    """
-    if not running or dt <= 0:
-        return 0.0
-    if restoring:
-        return 1.0
-    desired_mb = min(max_rate_mb * dt, available_sum_mb)
-    if rate_per_thread_mb <= 0:
-        return 0.0
-    return (desired_mb / dt) / rate_per_thread_mb
-
-
-def plan_task_step(
-    entries: Sequence[Tuple[float, float]],
-    dt: Seconds,
-    throttle: float,
-    restore_remaining_mb: float,
-    max_rate_mb: float,
-    rate_per_thread_mb: float,
-    memory_overhead_gb: float,
-    stateful: bool,
-    state_key_cardinality: int,
-    task_count: int,
-    reserved_memory_gb: float,
-    running: bool = True,
-) -> StepPlan:
-    """Plan one task step from a read-only partition view.
-
-    ``entries`` is ``(readable_mb, committed_offset)`` per partition of
-    the task's slice, in canonical (ascending partition index) order.
-    Every arithmetic operation happens in exactly the order the original
-    ``RunningTask.step`` used, so a plan computed from a mirror of the
-    partition state is bit-identical to one computed in place.
-    """
-    if not running or dt <= 0:
-        return IDLE_PLAN
-    throttle = min(1.0, max(0.0, throttle))
-
-    # Spend the step on state restore first; leftover time processes.
-    if restore_remaining_mb > 1e-9:
-        restored = min(restore_remaining_mb, STATE_RESTORE_RATE_MB * dt)
-        restore_remaining_mb -= restored
-        dt -= restored / STATE_RESTORE_RATE_MB
-        if dt <= 1e-12:
-            return StepPlan(
-                True, True, 0.0, (), restore_remaining_mb, 0.0, 1.0, False
-            )
-
-    budget = max_rate_mb * dt * throttle
-    processed = 0.0
-    # Max-min fair water-filling across the owned partitions: visiting
-    # them in ascending order of availability and giving each
-    # ``budget / remaining`` guarantees every backlogged partition gets
-    # its fair share AND all leftover capacity reaches the hot ones —
-    # a skewed partition is never starved to ``capacity / n``.
-    #
-    # One hard ceiling remains: a partition is a serial stream with a
-    # single reader thread, so no partition can be drained faster than
-    # one thread's rate (``P · dt``). This is why shuffling work across
-    # *partitions* — not just adding threads — matters for hot keys.
-    per_partition_cap = rate_per_thread_mb * dt * throttle
-    ordered = [
-        (readable, seq, offset)
-        for seq, (readable, offset) in enumerate(entries)
-    ]
-    ordered.sort(key=lambda entry: entry[0])
-    commits = []
-    remaining = len(ordered)
-    for available, seq, offset in ordered:
-        if budget <= 1e-12:
-            break
-        share = budget / remaining
-        consumed = min(available, share, per_partition_cap)
-        if consumed > 0:
-            commits.append((seq, offset + consumed))
-            processed += consumed
-            budget -= consumed
-        remaining -= 1
-
-    last_rate_mb = processed / dt
-    # CPU ∝ processed bytes; a saturated thread uses ~1 core.
-    if rate_per_thread_mb > 0:
-        last_cpu_used = last_rate_mb / rate_per_thread_mb
-    else:
-        last_cpu_used = 0.0
-    crashed = reserved_memory_gb > 0 and (
-        plan_memory_needed_gb(
-            last_rate_mb,
-            memory_overhead_gb,
-            stateful,
-            state_key_cardinality,
-            task_count,
-        )
-        > reserved_memory_gb
-    )
-    return StepPlan(
-        True,
-        False,
-        processed,
-        tuple(commits),
-        restore_remaining_mb,
-        last_rate_mb,
-        last_cpu_used,
-        crashed,
-    )
-
-
-def apply_step_plan(
-    task: "RunningTask", plan: StepPlan, scribe: ScribeBus
-) -> float:
-    """Apply a :class:`StepPlan` to authoritative state.
-
-    The single write path for task-step effects: checkpoint commits,
-    downstream publish, usage metrics, OOM state. Both the serial
-    in-place ``step`` and the parallel data plane's coordinator run
-    through here, so there is exactly one implementation to trust.
-    """
-    if not plan.ran:
-        task.last_rate_mb = 0.0
-        task.last_cpu_used = 0.0
-        return 0.0
-    task.restore_remaining_mb = plan.new_restore_remaining_mb
-    if plan.restore_only:
-        task.last_rate_mb = 0.0
-        task.last_cpu_used = 1.0  # restore is I/O+CPU heavy
-        return 0.0
-    checkpoints = scribe.checkpoints
-    partitions = task.partitions
-    for seq, new_offset in plan.commits:
-        checkpoints.commit(
-            task.spec.job_id, partitions[seq].partition_id, new_offset
-        )
-    task.total_processed_mb += plan.processed_mb
-    # Downstream publish: a job in the middle of a pipeline writes its
-    # (reduced) output to another set of Scribe partitions.
-    if plan.processed_mb > 0 and task.spec.output_category:
-        output = scribe.ensure_category(
-            task.spec.output_category, DEFAULT_OUTPUT_PARTITIONS
-        )
-        output.append(plan.processed_mb * task.spec.output_ratio)
-    task.last_rate_mb = plan.last_rate_mb
-    task.last_cpu_used = plan.last_cpu_used
-    if plan.crashed:
-        # cgroup kill: stats are preserved and read back on restart
-        # (paper section V-A).
-        task.state = TaskState.CRASHED
-        task.oom_count += 1
-    return plan.processed_mb
 
 
 class RunningTask:
@@ -332,53 +125,14 @@ class RunningTask:
         the container's CPU capacity, every task is throttled
         proportionally.
         """
-        return plan_desired_cores(
-            running=self.state == TaskState.RUNNING,
-            dt=dt,
-            restoring=self.restoring,
-            available_sum_mb=(
-                self.bytes_lagged_mb()
-                if self.state == TaskState.RUNNING and dt > 0
-                and not self.restoring
-                else 0.0
-            ),
-            max_rate_mb=self.max_rate_mb(),
-            rate_per_thread_mb=self.spec.rate_per_thread_mb,
-        )
-
-    def partition_entries(self) -> List[Tuple[float, float]]:
-        """``(readable_mb, committed_offset)`` per owned partition, in
-        canonical slice order — the read-only view :func:`plan_task_step`
-        consumes."""
-        checkpoints = self._scribe.checkpoints
-        job_id = self.spec.job_id
-        return [
-            (
-                partition.readable(
-                    checkpoints.get(job_id, partition.partition_id)
-                ),
-                checkpoints.get(job_id, partition.partition_id),
-            )
-            for partition in self.partitions
-        ]
-
-    def plan_step(self, dt: Seconds, throttle: float = 1.0) -> StepPlan:
-        """Plan one step against the live partition state (no effects)."""
         if self.state != TaskState.RUNNING or dt <= 0:
-            return IDLE_PLAN
-        return plan_task_step(
-            entries=self.partition_entries(),
-            dt=dt,
-            throttle=throttle,
-            restore_remaining_mb=self.restore_remaining_mb,
-            max_rate_mb=self.max_rate_mb(),
-            rate_per_thread_mb=self.spec.rate_per_thread_mb,
-            memory_overhead_gb=self.spec.memory_overhead_gb,
-            stateful=self.spec.stateful,
-            state_key_cardinality=self.spec.state_key_cardinality,
-            task_count=self.spec.task_count,
-            reserved_memory_gb=self.spec.resources.memory_gb,
-        )
+            return 0.0
+        if self.restoring:
+            return 1.0
+        desired_mb = min(self.max_rate_mb() * dt, self.bytes_lagged_mb())
+        if self.spec.rate_per_thread_mb <= 0:
+            return 0.0
+        return (desired_mb / dt) / self.spec.rate_per_thread_mb
 
     def step(self, dt: Seconds, throttle: float = 1.0) -> float:
         """Process up to ``max_rate · dt · throttle`` MB from the owned
@@ -388,13 +142,74 @@ class RunningTask:
         Turbine container. Returns MB processed. Updates checkpoints,
         usage metrics, and the task's OOM state. A crashed/stopped task
         processes nothing.
-
-        Implemented as plan-then-apply: :func:`plan_task_step` is a pure
-        function of a partition view, so a parallel data plane can run
-        the planning on workers and this method stays the serial
-        composition of the exact same two halves.
         """
-        return apply_step_plan(self, self.plan_step(dt, throttle), self._scribe)
+        if self.state != TaskState.RUNNING or dt <= 0:
+            self.last_rate_mb = 0.0
+            self.last_cpu_used = 0.0
+            return 0.0
+        throttle = min(1.0, max(0.0, throttle))
+
+        # Spend the step on state restore first; leftover time processes.
+        if self.restoring:
+            restored = min(self.restore_remaining_mb, STATE_RESTORE_RATE_MB * dt)
+            self.restore_remaining_mb -= restored
+            dt -= restored / STATE_RESTORE_RATE_MB
+            if dt <= 1e-12:
+                self.last_rate_mb = 0.0
+                self.last_cpu_used = 1.0  # restore is I/O+CPU heavy
+                return 0.0
+
+        budget = self.max_rate_mb() * dt * throttle
+        processed = 0.0
+        checkpoints = self._scribe.checkpoints
+        job_id = self.spec.job_id
+        # Max-min fair water-filling across the owned partitions: visiting
+        # them in ascending order of availability and giving each
+        # ``budget / remaining`` guarantees every backlogged partition gets
+        # its fair share AND all leftover capacity reaches the hot ones —
+        # a skewed partition is never starved to ``capacity / n``.
+        #
+        # One hard ceiling remains: a partition is a serial stream with a
+        # single reader thread, so no partition can be drained faster than
+        # one thread's rate (``P · dt``). This is why shuffling work across
+        # *partitions* — not just adding threads — matters for hot keys.
+        per_partition_cap = self.spec.rate_per_thread_mb * dt * throttle
+        entries = []
+        for partition in self.partitions:
+            offset = checkpoints.get(job_id, partition.partition_id)
+            entries.append((partition.readable(offset), partition, offset))
+        entries.sort(key=lambda entry: entry[0])
+        remaining = len(entries)
+        for available, partition, offset in entries:
+            if budget <= 1e-12:
+                break
+            share = budget / remaining
+            consumed = min(available, share, per_partition_cap)
+            if consumed > 0:
+                checkpoints.commit(
+                    job_id, partition.partition_id, offset + consumed
+                )
+                processed += consumed
+                budget -= consumed
+            remaining -= 1
+
+        self.total_processed_mb += processed
+        # Downstream publish: a job in the middle of a pipeline writes its
+        # (reduced) output to another set of Scribe partitions.
+        if processed > 0 and self.spec.output_category:
+            output = self._scribe.ensure_category(
+                self.spec.output_category, DEFAULT_OUTPUT_PARTITIONS
+            )
+            output.append(processed * self.spec.output_ratio)
+        self.last_rate_mb = processed / dt
+        # CPU ∝ processed bytes; a saturated thread uses ~1 core.
+        if self.spec.rate_per_thread_mb > 0:
+            self.last_cpu_used = self.last_rate_mb / self.spec.rate_per_thread_mb
+        else:
+            self.last_cpu_used = 0.0
+
+        self._check_memory()
+        return processed
 
     def disk_needed_gb(self) -> float:
         """Local disk this task holds (stateful state spill + checkpoints).
@@ -411,13 +226,15 @@ class RunningTask:
 
     def memory_needed_gb(self) -> float:
         """Memory this task needs at its current processing rate."""
-        return plan_memory_needed_gb(
-            self.last_rate_mb,
-            self.spec.memory_overhead_gb,
-            self.spec.stateful,
-            self.spec.state_key_cardinality,
-            self.spec.task_count,
+        needed = (
+            BASE_MEMORY_GB
+            + self.spec.memory_overhead_gb
+            + self.last_rate_mb * BUFFER_SECONDS / 1000.0
         )
+        if self.spec.stateful and self.spec.task_count > 0:
+            keys_here = self.spec.state_key_cardinality / self.spec.task_count
+            needed += (keys_here / 1e6) * STATE_GB_PER_MILLION_KEYS
+        return needed
 
     def _check_memory(self) -> None:
         reserved = self.spec.resources.memory_gb

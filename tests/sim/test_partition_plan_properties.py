@@ -1,7 +1,7 @@
 """Property suite for the load-aware LPT partition plan.
 
-Three guarantees back the data plane's use of
-:meth:`PartitionPlan.load_aware`:
+Three guarantees back the synthetic fleet substrate's use of
+:meth:`PartitionPlan.load_aware` (``repro parallel --load-aware``):
 
 * **never worse than modulo** — the greedy pack falls back to the modulo
   fold whenever it would lose on max-partition cost, so attaching the

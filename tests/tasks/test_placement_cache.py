@@ -212,22 +212,41 @@ def test_counters_classify_tiers():
     cache = PlacementCache()
     first = cache.compute(shard_loads, container_capacities, {})
     assert cache.misses == 1
-    # Unchanged round after a round that *moved* shards: repair, not a
-    # hit — only a zero-move round is a provable fixed point the cache
-    # may serve back verbatim.
+    # Unchanged round, even after a round that moved shards: pure hit.
     second = cache.compute(
         shard_loads, container_capacities, dict(first.assignment)
     )
-    assert cache.repairs == 1
-    assert second.moves == []
-    # Unchanged round after a settled round: pure hit.
-    cache.compute(
-        shard_loads, container_capacities, dict(second.assignment)
-    )
     assert cache.hits == 1
+    assert second.moves == []
     # One load report changed: repair.
     shard_loads["shard-03"] = ResourceVector(cpu=1.5)
     cache.compute(
         shard_loads, container_capacities, dict(second.assignment)
     )
-    assert cache.repairs == 2
+    assert cache.repairs == 1
+
+
+def test_unchanged_round_after_cold_placement_is_a_hit():
+    """A cold placement always moves shards; the next round with the same
+    inputs must still be served from the cache, exactly as a fresh
+    compute would return it (same assignment, no moves)."""
+    shard_loads = {
+        f"shard-{index:02d}": ResourceVector(
+            cpu=0.1 + 0.07 * index, memory_gb=0.3 * (index % 5)
+        )
+        for index in range(40)
+    }
+    container_capacities = {
+        f"container-{index}": ResourceVector(cpu=8.0, memory_gb=16.0)
+        for index in range(6)
+    }
+    cache = PlacementCache()
+    cold = cache.compute(shard_loads, container_capacities, {})
+    assert cold.moves, "a cold placement moves every shard"
+    current = dict(cold.assignment)
+    hit = cache.compute(shard_loads, container_capacities, current)
+    fresh = compute_assignment(shard_loads, container_capacities, current)
+    assert (cache.misses, cache.hits, cache.repairs) == (1, 1, 0)
+    assert fresh.moves == []
+    assert hit.moves == []
+    assert hit.assignment == fresh.assignment
