@@ -427,7 +427,7 @@ class StateSyncer:
         self._tracer.set_context(job_id, SLOT_SYNC, plan_event)
         try:
             self._actuator_dep.call(plan.execute, self._actuator)
-        except Exception as exc:  # noqa: BLE001 — any actuator failure aborts
+        except Exception as exc:  # noqa: BLE001 — actuator errors may be untyped
             # The aborted plan may have already acted on the cluster
             # (e.g. stopped tasks): mark the job so a later round resyncs
             # even if the expected config is reverted in the meantime.

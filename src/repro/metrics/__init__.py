@@ -18,7 +18,6 @@ off and compares every decision bit for bit).
 """
 
 from repro.metrics.aggregate import cdf_points, mean, percentile, stdev
-from repro.metrics.mergeable import MetricSlice, merge_slices
 from repro.metrics.series import TimeSeries
 from repro.metrics.sketch import HistogramSketch
 from repro.metrics.store import MetricStore
@@ -26,8 +25,6 @@ from repro.metrics.store import MetricStore
 __all__ = [
     "TimeSeries",
     "MetricStore",
-    "MetricSlice",
-    "merge_slices",
     "HistogramSketch",
     "mean",
     "stdev",

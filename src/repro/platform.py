@@ -83,11 +83,6 @@ class PlatformConfig:
     #: tiers). Reads are byte-identical either way; the toggle exists for
     #: the golden on/off determinism suite and A/B benchmarks.
     metrics_streaming: bool = True
-    #: Partition count for the sharded parallel substrate
-    #: (:meth:`Turbine.parallel_substrate`). 1 is the single event loop;
-    #: N > 1 slices the fleet by the MD5 shard mapping into N engines
-    #: whose merged exports stay byte-identical to the single loop.
-    parallel_partitions: int = 1
     #: Data-plane resiliency toggles (all off by default — with every
     #: toggle off the platform is byte-identical to one built before
     #: these features existed; the transparency suite asserts it).
@@ -377,42 +372,6 @@ class Turbine:
         if self._started:
             self.capacity_manager.start()
         return self.capacity_manager
-
-    def parallel_substrate(self, spec=None, use_processes: bool = False):
-        """Run a fleet on the sharded parallel substrate.
-
-        ``spec`` is a :class:`~repro.sim.parallel.FleetSpec`; when omitted
-        one is derived from the deployment's running jobs (task counts and
-        per-job resources become the fleet's jobs) with the deployment's
-        shard count and seed-keyed workload parameters. The partition
-        count comes from :attr:`PlatformConfig.parallel_partitions`, and
-        the merged exports are byte-identical for every value of it (see
-        ``repro.sim.parallel``). Returns a
-        :class:`~repro.sim.parallel.ParallelResult`.
-        """
-        from repro.sim.parallel import run_fleet, standard_fleet
-
-        if spec is None:
-            from repro.jobs.model import KEY_TASK_COUNT
-
-            job_ids = self.job_store.job_ids()
-            total_tasks = sum(
-                int(self.job_store.merged_expected(job_id).get(
-                    KEY_TASK_COUNT, 1
-                ))
-                for job_id in job_ids
-            )
-            spec = standard_fleet(
-                seed=self.engine.rng.seed,
-                total_tasks=max(total_tasks, len(job_ids) or 1),
-                num_jobs=max(len(job_ids), 1),
-                num_shards=self.config.num_shards,
-            )
-        return run_fleet(
-            spec,
-            partitions=self.config.parallel_partitions,
-            use_processes=use_processes,
-        )
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -183,7 +183,7 @@ class Dependency:
         self.retry = retry or RetryPolicy()
         self.breaker = breaker
         self.rng = rng
-        self.last_error: Optional[BaseException] = None
+        self.last_error: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # Guarded calls
@@ -211,7 +211,7 @@ class Dependency:
                 if attempt + 1 >= attempts:
                     raise
                 self._inc("retries")
-            except BaseException as error:
+            except Exception as error:
                 self._note_failure(error, now)
                 raise
             else:
@@ -243,7 +243,7 @@ class Dependency:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _note_failure(self, error: BaseException, now: float) -> None:
+    def _note_failure(self, error: Exception, now: float) -> None:
         self.last_error = error
         if isinstance(error, DegradedModeError):
             self._inc("unavailable")

@@ -485,76 +485,3 @@ class TestResiliencyTransparency:
         assert detector._last_totals, "detector should be sampling rates"
         assert detector.drains == 0
         assert list(detector.events) == []
-
-
-class TestParallelSubstrateTransparency:
-    """The partition count must be invisible to every merged export.
-
-    Golden same-seed fleets run at 1 partition (the single event loop)
-    and at 4 partitions in worker processes must agree byte-for-byte on
-    the run fingerprint, the control-plane timeline, the SLO report, and
-    the deterministic telemetry export. Only wall-clock and the
-    ``used_processes`` diagnostic may differ — nothing partition-scoped
-    is allowed to reach an export.
-    """
-
-    @staticmethod
-    def _fleet(seed):
-        from repro.sim.parallel import standard_fleet
-
-        return standard_fleet(
-            seed=seed, total_tasks=400, num_jobs=4, num_shards=32,
-            duration=4 * 3600.0,
-        )
-
-    @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_same_seed_byte_identical_at_1_and_4_partitions(self, seed):
-        from repro.sim.parallel import run_fleet
-
-        single = run_fleet(self._fleet(seed), partitions=1)
-        sharded = run_fleet(
-            self._fleet(seed), partitions=4, use_processes=True
-        )
-        assert sharded.fingerprint_json == single.fingerprint_json
-        assert sharded.timeline_text == single.timeline_text
-        assert sharded.slo_json == single.slo_json
-        assert sharded.telemetry_jsonl == single.telemetry_jsonl
-
-    def test_worker_processes_actually_engaged_in_golden_run(self):
-        """Guard against the transparency test passing vacuously."""
-        from repro.sim.parallel import run_fleet
-
-        result = run_fleet(
-            self._fleet(101), partitions=4, use_processes=True
-        )
-        assert result.partitions == 4
-        assert result.used_processes, (
-            "worker processes should start on this platform"
-        )
-        assert result.rounds == 4
-
-    def test_platform_toggle_routes_through_config(self):
-        """``PlatformConfig.parallel_partitions`` drives the substrate."""
-        single = Turbine.create(
-            num_hosts=2, seed=11,
-            config=PlatformConfig(num_shards=16, containers_per_host=2),
-        )
-        sharded = Turbine.create(
-            num_hosts=2, seed=11,
-            config=PlatformConfig(
-                num_shards=16, containers_per_host=2,
-                parallel_partitions=4,
-            ),
-        )
-        for platform in (single, sharded):
-            platform.start()
-            platform.provision(
-                JobSpec(job_id="job", input_category="cat", task_count=8)
-            )
-        res_single = single.parallel_substrate()
-        res_sharded = sharded.parallel_substrate()
-        assert res_single.partitions == 1
-        assert res_sharded.partitions == 4
-        assert res_sharded.fingerprint_json == res_single.fingerprint_json
-        assert res_sharded.timeline_text == res_single.timeline_text
-

@@ -144,6 +144,36 @@ class TestFaultTolerance:
         syncer.sync_once()
         assert syncer.failure_count("job") == 0
 
+    def test_untyped_spec_generation_error_quarantines_only_that_job(self):
+        """The syncer's plan guard must stay broader than ``TurbineError``.
+
+        ``priority: 99`` passes the config schema (an int) but spec
+        generation raises a plain ``ValueError`` ("99 is not a valid
+        Priority") inside the plan. The syncer must count it as a failed
+        sync, quarantine the job, and keep syncing the rest of the fleet.
+        """
+        from repro import PlatformConfig, Turbine
+
+        platform = Turbine.create(
+            num_hosts=2, seed=3,
+            config=PlatformConfig(num_shards=16, containers_per_host=2),
+        )
+        platform.start()
+        for index in range(2):
+            platform.provision(
+                JobSpec(job_id=f"job-{index}", input_category=f"cat-{index}",
+                        task_count=2)
+            )
+        platform.run_for(minutes=3)
+        platform.job_service.patch("job-0", ConfigLevel.ONCALL, {"priority": 99})
+        platform.run_for(minutes=5)
+        assert platform.job_store.state_of("job-0") == JobState.QUARANTINED
+        assert "not a valid Priority" in platform.syncer.alerts[0][2]
+        platform.job_service.patch("job-1", ConfigLevel.ONCALL, {"priority": 2})
+        platform.run_for(minutes=2)
+        assert platform.job_store.state_of("job-1") == JobState.RUNNING
+        assert platform.job_store.read_running("job-1").config["priority"] == 2
+
 
 class TestTornPlanRecovery:
     def test_reverted_expected_still_resyncs_after_failure(self):

@@ -76,6 +76,16 @@ class TestReport:
         report = reporter.check_once()
         assert report.tasks_expected == 0  # unknown, not a crash
 
+    def test_task_service_bug_is_not_hidden_as_degraded(self):
+        platform, reporter = healthy_platform()
+
+        def broken_snapshot():
+            raise KeyError("spec table corrupted")
+
+        platform.task_service.snapshot = broken_snapshot
+        with pytest.raises(KeyError):
+            reporter.check_once()
+
 
 class TestAlerts:
     def test_page_on_mass_task_loss(self):

@@ -174,6 +174,21 @@ def test_call_does_not_retry_unexpected_errors():
     assert counter(telemetry, "failures") == 1
 
 
+def test_keyboard_interrupt_propagates_without_counting_a_failure():
+    dep, __, telemetry = make_dep(
+        breaker=CircuitBreaker(failure_threshold=1, reset_timeout=30.0)
+    )
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        dep.call(interrupted)
+    assert counter(telemetry, "failures") == 0
+    assert dep.breaker.state == CLOSED
+    assert dep.last_error is None
+
+
 def test_breaker_short_circuits_and_half_open_probe_recovers():
     dep, clock, telemetry = make_dep(
         breaker=CircuitBreaker(failure_threshold=2, reset_timeout=30.0)

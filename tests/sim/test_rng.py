@@ -73,7 +73,7 @@ def test_seed_property():
 
 
 # ----------------------------------------------------------------------
-# Fork independence and process-boundary stability (parallel substrate)
+# Fork independence and process-boundary stability
 # ----------------------------------------------------------------------
 
 import pickle
